@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-self lint-fixtures vet golden chains-golden chaos bench bench-smoke gemm-calibrate frontier frontier-golden serve-smoke ci
+.PHONY: all build test race lint lint-self lint-fixtures vet golden chains-golden chaos bench bench-smoke frontier frontier-golden serve-smoke ci
 
 all: build test vet lint
 
@@ -74,13 +74,6 @@ bench:
 # wall times within 15% after median-ratio machine normalisation.
 bench-smoke:
 	$(GO) run ./cmd/fouridx bench -smoke -o /tmp/bench_smoke.json -baseline BENCH_fouridx.json -tolerance 0.15
-
-# gemm-calibrate runs only the Strassen crossover sweep: the blocked
-# classical kernel against one level of Strassen-Winograd recursion
-# over the size ladder, printing this machine's crossover pick. The
-# full `make bench` records the same sweep in the baseline artifact.
-gemm-calibrate:
-	$(GO) run ./cmd/fouridx bench -calibrate
 
 # frontier regenerates the checked-in capacity-vs-bound frontier
 # artifact (see README "Autotuning" and DESIGN.md §11).

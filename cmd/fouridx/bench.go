@@ -21,19 +21,9 @@ func runBench(args []string) {
 		tolerance = fs.Float64("tolerance", 0.15, "regression gate tolerance (0.15 = 15%)")
 		repeats   = fs.Int("repeats", 0, "timed repetitions per measured point (0 = matrix default)")
 		noMeasure = fs.Bool("no-measure", false, "deterministic accounting only: skip wall-clock measurement for a byte-stable report")
-		calibrate = fs.Bool("calibrate", false, "run only the Strassen crossover calibration sweep and print it (make gemm-calibrate)")
 		verbose   = fs.Bool("v", false, "print every matrix point, not just the summary")
 	)
 	fatalIf(fs.Parse(args))
-
-	if *calibrate {
-		trials := *repeats
-		if trials <= 0 {
-			trials = 3
-		}
-		fmt.Println(fourindex.CalibrateStrassenGemm(fourindex.DefaultStrassenLadder(), trials))
-		return
-	}
 
 	cfg := fourindex.DefaultBenchConfig()
 	if *smoke {
@@ -44,15 +34,14 @@ func runBench(args []string) {
 	}
 	if *noMeasure {
 		cfg.Measure = false
-		cfg.Calibrate = false
 	}
 
 	rep, err := fourindex.RunBench(cfg)
 	fatalIf(err)
 
 	if *verbose {
-		fmt.Printf("%-9s %-18s %-22s %5s %3s %3s | %12s %12s %10s %8s %8s %10s\n",
-			"kind", "scheme", "point", "gomax", "ov", "st", "flops", "bytesMoved", "sim s", "attained", "exp frac", "wall ms")
+		fmt.Printf("%-9s %-18s %-22s %5s %3s | %12s %12s %10s %8s %8s %10s\n",
+			"kind", "scheme", "point", "gomax", "ov", "flops", "bytesMoved", "sim s", "attained", "exp frac", "wall ms")
 		for _, p := range rep.Points {
 			where := fmt.Sprintf("n=%d procs=%d", p.N, p.Procs)
 			if p.Kind == "cost" {
@@ -66,12 +55,8 @@ func runBench(args []string) {
 			if p.Overlap {
 				ov = "on"
 			}
-			st := "off"
-			if p.Strassen {
-				st = "on"
-			}
-			fmt.Printf("%-9s %-18s %-22s %5d %3s %3s | %12.4g %12.4g %10.2f %8.3f %8.3f %10s\n",
-				p.Kind, p.Scheme, where, p.Gomaxprocs, ov, st,
+			fmt.Printf("%-9s %-18s %-22s %5d %3s | %12.4g %12.4g %10.2f %8.3f %8.3f %10s\n",
+				p.Kind, p.Scheme, where, p.Gomaxprocs, ov,
 				float64(p.Flops), float64(p.BytesMoved), p.SimSeconds, p.Attained, p.ExposedCommFraction, wall)
 		}
 	}
@@ -81,9 +66,6 @@ func runBench(args []string) {
 	}
 	if rep.GemmTransB != nil {
 		fmt.Printf("%s\n", rep.GemmTransB)
-	}
-	if rep.Strassen != nil {
-		fmt.Printf("%s\n", rep.Strassen)
 	}
 
 	if *out != "" {

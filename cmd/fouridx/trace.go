@@ -32,7 +32,6 @@ func runTrace(args []string) {
 		mem      = fs.String("mem", "", "aggregate memory cap, e.g. 512MB, 9TB (empty = unlimited)")
 		overlap  = fs.Bool("overlap", false, "nonblocking communication: double-buffer gets and pipeline writes so transfers overlap compute")
 		ovEff    = fs.Float64("overlap-eff", 0, "fraction of in-flight transfer time the cost model may hide, in (0, 1] (0 = 1, full overlap)")
-		strassen = fs.Bool("strassen", false, "route contraction GEMMs above the crossover through the Strassen-Winograd path (execute mode)")
 		events   = fs.Int("events", 0, "event ring capacity (0 = default 32768)")
 		out      = fs.String("o", "trace.json", "Chrome trace_event JSON output path")
 	)
@@ -63,7 +62,6 @@ func runTrace(args []string) {
 		AlphaPar:          *alphaPar,
 		Overlap:           *overlap,
 		OverlapEfficiency: *ovEff,
-		Strassen:          *strassen,
 		Trace:             tr,
 	}
 	if *cost {

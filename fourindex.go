@@ -339,25 +339,6 @@ func BenchReadPathRun(procs, readsPerProc, dim int) (BenchReadPath, error) {
 	return perf.BenchReadPath(procs, readsPerProc, dim)
 }
 
-// Strassen crossover calibration (internal/perf): the blocked classical
-// GEMM kernel timed against one level of Strassen-Winograd recursion
-// over a size ladder, picking the machine's crossover threshold. The
-// full benchmark records the sweep in its artifact; `fouridx bench
-// -calibrate` (make gemm-calibrate) runs it standalone.
-type (
-	StrassenCalibration = perf.StrassenCalibration
-	StrassenPoint       = perf.StrassenPoint
-)
-
-// CalibrateStrassenGemm runs the crossover sweep over the given size
-// ladder, best-of-trials per rung.
-func CalibrateStrassenGemm(sizes []int, trials int) StrassenCalibration {
-	return perf.CalibrateStrassen(sizes, trials)
-}
-
-// DefaultStrassenLadder is the calibration sweep's default size ladder.
-func DefaultStrassenLadder() []int { return perf.DefaultStrassenLadder() }
-
 // Capacity-vs-bound frontier (internal/lb + internal/fourindex): for
 // every fast-memory capacity S there is a data-movement lower bound,
 // and the paper's closed-form thresholds are the knees where each

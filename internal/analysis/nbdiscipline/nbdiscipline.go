@@ -28,8 +28,7 @@
 //     own checks.)
 //
 // A deferred Wait counts as a wait for every path that passes the defer
-// statement. The purely lexical predecessor of this check is kept as
-// LegacyAnalyzer for regression comparison.
+// statement.
 package nbdiscipline
 
 import (
@@ -334,4 +333,55 @@ func nodeEscapes(info *types.Info, n ast.Node, obj types.Object, issue *ast.Call
 		return true
 	})
 	return found
+}
+
+// returnsHandle reports whether call produces a *ga.Handle as its first
+// result — the nonblocking verbs themselves or any wrapper around them.
+func returnsHandle(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call]
+	if !ok {
+		return false
+	}
+	t := tv.Type
+	if tuple, isTuple := t.(*types.Tuple); isTuple {
+		if tuple.Len() == 0 {
+			return false
+		}
+		t = tuple.At(0).Type()
+	}
+	ptr, isPtr := t.(*types.Pointer)
+	return isPtr && analysis.NamedTypeIs(ptr.Elem(), "ga", "Handle")
+}
+
+// usesObject reports whether expr mentions obj.
+func usesObject(info *types.Info, expr ast.Node, obj types.Object) bool {
+	found := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
+			found = true
+		}
+		return true
+	})
+	return found
+}
+
+// lhsObject returns the variable a define/assign binds, or nil for
+// blank or non-ident targets.
+func lhsObject(info *types.Info, lhs ast.Expr) types.Object {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// callName renders the called expression for diagnostics.
+func callName(info *types.Info, call *ast.CallExpr) string {
+	if fn := analysis.CalleeFunc(info, call); fn != nil {
+		return fn.Name()
+	}
+	return "call"
 }

@@ -1,6 +1,9 @@
 package nbdiscipline_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
@@ -13,36 +16,67 @@ func TestNbDiscipline(t *testing.T) {
 	analysistest.Run(t, nbdiscipline.Analyzer, "./testdata/src/nb")
 }
 
+// TestNbFlow checks the nbflow fixture's want comments.
 func TestNbFlow(t *testing.T) {
 	analysistest.Run(t, nbdiscipline.Analyzer, "./testdata/src/nbflow")
 }
 
-// TestLegacyMissesFlowCases proves the flow-sensitive rewrite is a
-// strict improvement: the lexical LegacyAnalyzer reports neither the
-// early-return leak nor the use-before-wait in the nbflow fixture,
-// because in source order every handle has a Wait somewhere below it.
+// TestLegacyMissesFlowCases pins the findings that a lexical,
+// source-order check would miss: every path leak and in-flight buffer
+// read on the nbflow fixture is reported, although its function has a
+// Wait or WaitAll after the issue line. Only the control-flow graph
+// exposes them.
 func TestLegacyMissesFlowCases(t *testing.T) {
-	legacy := diagsFor(t, nbdiscipline.LegacyAnalyzer, "./testdata/src/nbflow")
-	for _, d := range legacy {
-		if strings.Contains(d.Message, "does not reach Wait") ||
-			strings.Contains(d.Message, "before the handle's Wait") {
-			t.Errorf("legacy analyzer unexpectedly caught a flow-only case: %s", d)
-		}
-	}
-
 	flow := diagsFor(t, nbdiscipline.Analyzer, "./testdata/src/nbflow")
 	leaks, bufReads := 0, 0
 	for _, d := range flow {
+		pathOnly := false
 		if strings.Contains(d.Message, "does not reach Wait") {
 			leaks++
+			pathOnly = true
 		}
 		if strings.Contains(d.Message, "before the handle's Wait") {
 			bufReads++
+			pathOnly = true
+		}
+		if pathOnly && !waitFollows(t, d.Pos) {
+			t.Errorf("%s: no Wait after the issue in source order; a lexical check would catch it too", d)
 		}
 	}
 	if leaks < 2 || bufReads < 1 {
 		t.Errorf("flow analyzer found %d path leaks and %d in-flight buffer reads; want >=2 and >=1", leaks, bufReads)
 	}
+}
+
+// waitFollows reports whether the function enclosing pos calls Wait or
+// WaitAll on a line after pos.
+func waitFollows(t *testing.T, pos token.Position) bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, pos.Filename, nil, 0)
+	if err != nil {
+		t.Fatalf("parsing %s: %v", pos.Filename, err)
+	}
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fset.Position(fn.Pos()).Line > pos.Line || fset.Position(fn.End()).Line < pos.Line {
+			continue
+		}
+		found := false
+		ast.Inspect(fn, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Wait" || sel.Sel.Name == "WaitAll") &&
+				fset.Position(call.Pos()).Line > pos.Line {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	return false
 }
 
 // TestSuppression checks the //lint:ignore contract on the nbsuppress

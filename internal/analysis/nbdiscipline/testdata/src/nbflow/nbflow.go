@@ -1,7 +1,8 @@
 // Package nbflow is the flow-sensitive nbdiscipline fixture: every case
 // here needs the control-flow graph to judge correctly. The first two
-// (early-return leak, use-before-wait) are invisible to the legacy
-// lexical analyzer — a regression test asserts that difference.
+// (early-return leak, use-before-wait) have a Wait later in source
+// order, so only path order exposes them; a regression test pins that
+// they stay reported.
 package nbflow
 
 import (
@@ -11,8 +12,8 @@ import (
 )
 
 // earlyReturnLeak waits at the end of the function, but the error
-// branch returns first: on that path the handle leaks. The legacy
-// analyzer sees a Wait later in the source and stays silent.
+// branch returns first: on that path the handle leaks, although a Wait
+// appears later in the source.
 func earlyReturnLeak(p *ga.Proc, a *ga.TiledArray, buf []float64, bad bool) error {
 	h := p.NbGetT(a, buf, 0, 0) // want `nonblocking handle "h" does not reach Wait or WaitAll on the path returning at line \d+`
 	if bad {
@@ -23,8 +24,8 @@ func earlyReturnLeak(p *ga.Proc, a *ga.TiledArray, buf []float64, bad bool) erro
 }
 
 // useBeforeWait reads the destination buffer while the get is still in
-// flight. Lexically the Wait is present, so the legacy analyzer stays
-// silent; only path order exposes the undefined read.
+// flight. Lexically the Wait is present; only path order exposes the
+// undefined read.
 func useBeforeWait(p *ga.Proc, a *ga.TiledArray, buf []float64) float64 {
 	h := p.NbGetT(a, buf, 0, 0) // want `buffer "buf" filled by NbGetT is read on line \d+ before the handle's Wait`
 	v := buf[0]

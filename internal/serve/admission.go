@@ -84,7 +84,7 @@ func (s *Server) planJob(ctx context.Context, sp JobSpec) (jobPlan, error) {
 	if err != nil {
 		return jobPlan{}, err
 	}
-	p := jobPlan{spec: spec, procs: sp.Procs, strassen: sp.Strassen}
+	p := jobPlan{spec: spec, procs: sp.Procs}
 	if p.procs <= 0 {
 		p.procs = s.cfg.Procs
 	}

@@ -57,7 +57,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // handleSubmit admits one job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// A misspelt or retired field would otherwise be dropped and the
+	// job run without it (a "deadline" typo runs with no deadline).
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad job spec: %v", err)})
 		return
 	}

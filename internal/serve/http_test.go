@@ -286,8 +286,9 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation exercises the 400 family: bad JSON, missing
-// tenant, unknown scheme and mode, and the execute-mode orbital cap.
+// TestSubmitValidation exercises the 400 family: bad JSON, unknown
+// fields, missing tenant, unknown scheme and mode, and the execute-mode
+// orbital cap.
 func TestSubmitValidation(t *testing.T) {
 	s := newTestServer(t, testConfig(t))
 	ts := httptest.NewServer(s.Handler())
@@ -308,13 +309,28 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
+	// Raw bodies: malformed JSON, and well-formed specs carrying a field
+	// JobSpec does not have (a retired option, a misspelt deadline),
+	// which must be refused by name rather than silently dropped.
+	raw := []struct{ body, field string }{
+		{`{nope`, ""},
+		{`{"tenant": "a", "n": 8, "strassen": true}`, "strassen"},
+		{`{"tenant": "a", "n": 8, "deadline": 5}`, "deadline"},
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
+	for _, c := range raw {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		var e httpError
+		decErr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", c.body, resp.StatusCode)
+		}
+		if c.field != "" && (decErr != nil || !strings.Contains(e.Error, `"`+c.field+`"`)) {
+			t.Errorf("body %s: error %q (decode %v), want it to name %q", c.body, e.Error, decErr, c.field)
+		}
 	}
 
 	if resp, err := http.Get(ts.URL + "/jobs/nope"); err != nil {

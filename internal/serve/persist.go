@@ -49,8 +49,8 @@ type persistedJob struct {
 // persistedPlan is the serializable form of jobPlan.
 type persistedPlan struct {
 	// N, Sym and Seed reconstruct the chem.Spec.
-	N   int    `json:"n"`
-	Sym int    `json:"sym"`
+	N   int `json:"n"`
+	Sym int `json:"sym"`
 	// Seed seeds the synthetic integral generator; persisting it is
 	// what makes a resumed run operate on bitwise-identical inputs.
 	Seed uint64 `json:"seed"`
@@ -62,9 +62,10 @@ type persistedPlan struct {
 	Procs int `json:"procs"`
 	TileN int `json:"tileN"`
 	TileL int `json:"tileL"`
-	// Strassen pins the GEMM path, so a resumed execute-mode run keeps
-	// the arithmetic (and hence the checksum) of the run it continues.
-	Strassen bool `json:"strassen,omitempty"`
+	// RemovedGemmPath is decode-only: state files written before the
+	// opt-in fast-GEMM path was removed mark jobs planned on it, which
+	// restore must not resume on the classical kernel (see loadState).
+	RemovedGemmPath bool `json:"strassen,omitempty"`
 	// ReservedBytes and MinBytes pin the admission reservation.
 	ReservedBytes int64 `json:"reservedBytes"`
 	MinBytes      int64 `json:"minBytes"`
@@ -115,7 +116,6 @@ func persistJob(j *Job) persistedJob {
 			Procs:         j.plan.procs,
 			TileN:         j.plan.tileN,
 			TileL:         j.plan.tileL,
-			Strassen:      j.plan.strassen,
 			ReservedBytes: j.plan.reservedBytes,
 			MinBytes:      j.plan.minBytes,
 		},
@@ -175,7 +175,6 @@ func (pj persistedJob) restore() (*Job, error) {
 			procs:         pj.Plan.Procs,
 			tileN:         pj.Plan.TileN,
 			tileL:         pj.Plan.TileL,
-			strassen:      pj.Plan.Strassen,
 			reservedBytes: pj.Plan.ReservedBytes,
 			minBytes:      pj.Plan.MinBytes,
 		},
@@ -207,11 +206,19 @@ func (s *Server) persistLocked() error {
 	return nil
 }
 
+// ErrGemmPathRemoved fails a restored job that a previous server
+// version planned on a GEMM path this build no longer has. Resuming it
+// on the classical kernel would silently change its checksum, so the
+// job comes back failed and must be resubmitted.
+var ErrGemmPathRemoved = errors.New("serve: job was planned on a GEMM path that has been removed; resubmit it")
+
 // loadState reads a previous process's job table, keeping terminal
 // jobs for status queries and re-queuing the rest: queued jobs simply
 // wait again, and running/interrupted jobs re-dispatch and resume from
-// the checkpoint their previous run left under ckpt/<jobID>. Called
-// from New before the dispatch loop starts.
+// the checkpoint their previous run left under ckpt/<jobID>. A
+// non-terminal job planned on a removed GEMM path comes back failed
+// with ErrGemmPathRemoved instead. Called from New before the dispatch
+// loop starts.
 func (s *Server) loadState() error {
 	raw, err := os.ReadFile(filepath.Join(s.cfg.StateDir, stateFile))
 	if errors.Is(err, os.ErrNotExist) {
@@ -232,9 +239,14 @@ func (s *Server) loadState() error {
 		if err != nil {
 			return err
 		}
-		switch j.State {
-		case StateDone, StateFailed, StateCanceled:
+		switch {
+		case j.State == StateDone || j.State == StateFailed || j.State == StateCanceled:
 			// Terminal: status stays queryable, nothing to run.
+			s.events.finish(j.ID)
+		case st.Jobs[i].Plan.RemovedGemmPath:
+			j.State = StateFailed
+			j.Error = ErrGemmPathRemoved.Error()
+			s.events.finish(j.ID)
 		default:
 			j.State = StateQueued
 			if err := s.queue.push(j); err != nil {

@@ -112,7 +112,6 @@ func (s *Server) executeJob(j *Job) (res *ifx.Result, resumed bool, err error) {
 		GlobalMemBytes: j.plan.reservedBytes,
 		TileN:          j.plan.tileN,
 		TileL:          j.plan.tileL,
-		Strassen:       j.plan.strassen,
 		Trace:          tr,
 		Faults:         &faults.Injection{Checkpoint: ckpt},
 	}
