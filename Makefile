@@ -13,12 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
-# race runs the tier-1 race gate: the full ga + fourindex suites plus
-# the concurrent job server under the race detector, plus the
-# concurrency stress tests repeated to give interleavings a chance to
-# differ.
+# race runs the tier-1 race gate: the GEMM row split over the shared
+# worker pool, the full ga + fourindex suites plus the concurrent job
+# server under the race detector, plus the concurrency stress tests
+# repeated to give interleavings a chance to differ.
 race:
-	$(GO) test -race ./internal/ga/... ./internal/fourindex/... ./internal/serve/...
+	$(GO) test -race ./internal/blas/... ./internal/ga/... ./internal/fourindex/... ./internal/serve/...
 	$(GO) test -race -count=5 -run 'TestStress' ./internal/ga/
 
 # lint runs the project's own analyzer suite (see internal/analysis).

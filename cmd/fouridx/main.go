@@ -8,6 +8,7 @@
 //	fouridx -n 24 -scheme hybrid -procs 8
 //	fouridx -molecule Uracil -scheme fullyfused-inner -system B -cores 140 -cost
 //	fouridx -n 16 -scheme unfused -mem 4GB
+//	fouridx -n 48 -tile 8 -procs 2 -mem 32MB -cpuprofile cpu.out -memprofile mem.out
 //
 // The trace subcommand additionally records an execution trace and
 // prints the bound-vs-actual audit (see README "Tracing & profiling"):
@@ -102,8 +103,14 @@ func main() {
 		verbose  = flag.Bool("v", false, "print the transformed tensor's checksum")
 		autotune = flag.Bool("autotune", false, "sweep configurations in simulation and report the fastest (needs -system)")
 		jsonOut  = flag.Bool("json", false, "emit the result as JSON on stdout")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	fatalIf(err)
+	defer func() { fatalIf(stopProfiles()) }()
 
 	sch, err := fourindex.SchemeByName(*scheme)
 	fatalIf(err)

@@ -1,0 +1,51 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
+)
+
+// startProfiles starts a CPU profile written to cpuPath and arranges a
+// heap profile written to memPath; an empty path skips that profile. The
+// returned stop ends the CPU profile and writes the heap profile, and
+// must run once the work to be profiled is done. Read either file with
+// `go tool pprof`; the heap profile's alloc_space view attributes every
+// byte allocated during the run.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("cpuprofile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		runtime.GC() // bring the in-use statistics up to date
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		return nil
+	}, nil
+}

@@ -128,8 +128,10 @@ func TestDgemmLeadingDimensions(t *testing.T) {
 }
 
 func TestDgemmLargeCrossesBlockBoundaries(t *testing.T) {
+	// m is not a multiple of 4 and n not of 2, so the 4x2 micro-tiles
+	// meet both edge strips.
 	rng := rand.New(rand.NewSource(5))
-	m, n, k := blockM+13, blockN+17, blockK+7
+	m, n, k := 77, 273, 71
 	a := randomSlice(rng, m*k)
 	b := randomSlice(rng, k*n)
 	c := make([]float64, m*n)
@@ -137,23 +139,25 @@ func TestDgemmLargeCrossesBlockBoundaries(t *testing.T) {
 	naiveGemm(false, false, m, n, k, 1, a, k, b, n, 0, want, n)
 	Dgemm(false, false, m, n, k, 1, a, k, b, n, 0, c, n)
 	if d := maxAbsDiff(c, want); d > 1e-10 {
-		t.Errorf("blocked GEMM diff %v", d)
+		t.Errorf("tiled GEMM diff %v", d)
 	}
 }
 
 func TestDgemmParallelPathMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	// Force the parallel path by exceeding parallelThreshold.
-	m, k := 160, 160
+	// Force the parallel path by exceeding parallelThreshold; m = 162
+	// splits into row chunks that are not multiples of the micro-tile
+	// height.
+	m, k := 162, 160
 	n := parallelThreshold/(m*k) + 8
 	a := randomSlice(rng, m*k)
 	b := randomSlice(rng, k*n)
 	c1 := make([]float64, m*n)
 	c2 := make([]float64, m*n)
-	gemmBlocked(false, false, 0, m, n, k, 1, a, k, b, n, c1, n)
+	gemmRows(false, false, 0, m, n, k, 1, a, k, b, n, c1, n)
 	Dgemm(false, false, m, n, k, 1, a, k, b, n, 0, c2, n)
-	if d := maxAbsDiff(c1, c2); d > 1e-10 {
-		t.Errorf("parallel vs serial diff %v", d)
+	if i := firstBitDiff(c1, c2); i >= 0 {
+		t.Errorf("parallel vs serial differ at %d: %v vs %v", i, c2[i], c1[i])
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 )
 
 // goldenC pins the SHA-256 of every schedule's packed C at n=12, P=3,
-// computed with the classical blocked GEMM. Overlap must not move a bit,
-// so one digest covers both settings. A change to any GEMM kernel, tile
+// computed with the classical blocked GEMM; the 4x2 register
+// micro-kernel that replaced it reproduces them. Overlap must not move a
+// bit, so one digest covers both settings. A change to any GEMM kernel, tile
 // loop or accumulation order that alters a single bit of C fails here
 // against these constants rather than against a second run of itself.
 var goldenC = map[Scheme]string{

@@ -8,23 +8,24 @@ import (
 )
 
 // GemmTransBResult reports the transposed-B GEMM microbenchmark:
-// C += A*B with B stored untransposed (the contiguous baseline) versus
-// C += A*B^T through the panel-packing path gemmBlocked dispatches to.
-// Both products perform identical flop counts, so the ratio isolates
-// the cost of the transposed operand layout; before panel packing the
-// B^T walk strided by the leading dimension on every inner-loop step
-// and this ratio sat far above 1. Wall-clock quantities; Measure only.
+// C += A*B with B stored untransposed versus C += A*B^T. Both run
+// through the same 4x2 register micro-kernel, which reads B through a
+// (row stride, column stride) pair: two adjacent elements of a row
+// untransposed, two rows a leading dimension apart transposed. Both
+// products perform identical flop counts, so the ratio isolates the
+// cost of the transposed operand layout. Wall-clock quantities;
+// Measure only.
 type GemmTransBResult struct {
 	// M, N, K are the product dimensions (op(A) is M x K, op(B) K x N).
 	M int `json:"m"`
 	N int `json:"n"`
 	K int `json:"k"`
 	// NoTransSeconds is the best time of the untransposed-B product;
-	// TransBSeconds the best time of the B^T (packed-panel) product.
+	// TransBSeconds the best time of the B^T product.
 	NoTransSeconds float64 `json:"noTransSeconds"`
 	TransBSeconds  float64 `json:"transBSeconds"`
-	// Ratio is TransBSeconds / NoTransSeconds (1.0 = packing fully
-	// recovers the contiguous inner loop).
+	// Ratio is TransBSeconds / NoTransSeconds (1.0 = the strided B^T
+	// reads cost nothing extra).
 	Ratio float64 `json:"ratio"`
 }
 
