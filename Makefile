@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-self lint-fixtures vet golden chains-golden chaos bench bench-smoke frontier frontier-golden serve-smoke ci
+.PHONY: all build test race lint lint-self lint-fixtures vet golden chains-golden chaos bench bench-check frontier frontier-golden serve-smoke ci
 
 all: build test vet lint
 
@@ -63,17 +63,17 @@ chaos:
 	$(GO) test -race -run 'Chaos' ./internal/fourindex/
 	$(GO) test -race ./internal/faults/
 
-# bench regenerates the checked-in benchmark baseline: the full matrix
-# of {schedule} x {execute sizes, cost molecules} x {GOMAXPROCS} with
-# wall-clock measurement (see internal/perf and README "Benchmarking").
+# bench regenerates the checked-in benchmark artifact: the full matrix
+# of {schedule} x {execute sizes, cost molecules}, deterministic
+# data-movement accounting only (see internal/perf and README
+# "Benchmarking"). Wall-clock numbers come from perfbench/run.sh.
 bench:
 	$(GO) run ./cmd/fouridx bench -o BENCH_fouridx.json -v
 
-# bench-smoke runs the CI subset of the matrix and gates it against the
-# checked-in baseline: deterministic accounting must match within 15%,
-# wall times within 15% after median-ratio machine normalisation.
-bench-smoke:
-	$(GO) run ./cmd/fouridx bench -smoke -o /tmp/bench_smoke.json -baseline BENCH_fouridx.json -tolerance 0.15
+# bench-check fails the build when the checked-in BENCH_fouridx.json
+# differs byte-for-byte from a fresh run of the matrix.
+bench-check:
+	$(GO) run ./cmd/fouridx bench -check
 
 # frontier regenerates the checked-in capacity-vs-bound frontier
 # artifact (see README "Autotuning" and DESIGN.md §11).
@@ -94,4 +94,4 @@ frontier-golden:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-ci: build test vet lint lint-self lint-fixtures golden chains-golden frontier-golden race chaos bench-smoke serve-smoke
+ci: build test vet lint lint-self lint-fixtures golden chains-golden frontier-golden race chaos bench-check serve-smoke

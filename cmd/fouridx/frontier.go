@@ -11,8 +11,8 @@ import (
 
 // runFrontier implements the `fouridx frontier` subcommand: compute the
 // capacity-vs-bound frontier artifact (FRONTIER_fouridx.json), check a
-// checked-in copy for staleness byte-for-byte, and gate the
-// frontier-driven tuner against the benchmark baseline.
+// checked-in copy for staleness byte-for-byte (checkArtifact), and
+// gate the frontier-driven tuner against the benchmark baseline.
 func runFrontier(args []string) {
 	fs := flag.NewFlagSet("fouridx frontier", flag.ExitOnError)
 	var (
@@ -39,21 +39,15 @@ func runFrontier(args []string) {
 		}
 	}
 
-	if *out != "" {
-		var buf bytes.Buffer
-		fatalIf(rep.Encode(&buf))
-		if *check {
-			existing, err := os.ReadFile(*out)
-			fatalIf(err)
-			if !bytes.Equal(existing, buf.Bytes()) {
-				fmt.Fprintf(os.Stderr, "fouridx frontier: %s is stale (regenerate with `make frontier`)\n", *out)
-				os.Exit(1)
-			}
-			fmt.Printf("check:    %s is current\n", *out)
-		} else {
-			fatalIf(os.WriteFile(*out, buf.Bytes(), 0o644))
-			fmt.Printf("artifact: %s\n", *out)
-		}
+	var buf bytes.Buffer
+	fatalIf(rep.Encode(&buf))
+	switch {
+	case *check:
+		fatalIf(checkArtifact(*out, "make frontier", buf.Bytes()))
+		fmt.Printf("check:    %s is current\n", *out)
+	case *out != "":
+		fatalIf(os.WriteFile(*out, buf.Bytes(), 0o644))
+		fmt.Printf("artifact: %s\n", *out)
 	}
 
 	if *gate {

@@ -22,12 +22,13 @@
 //
 //	fouridx chaos -n 18 -scheme fullyfused-inner -procs 4 -rate 0.05 -chaos-seed 7
 //
-// The bench subcommand runs the reproducible benchmark matrix, writes
-// the schema-versioned report, and optionally gates it against a
-// checked-in baseline (see README "Benchmarking"):
+// The bench subcommand runs the reproducible benchmark matrix and
+// writes the schema-versioned report of deterministic data-movement
+// accounting, or checks the checked-in copy byte-for-byte (see README
+// "Benchmarking"):
 //
 //	fouridx bench -o BENCH_fouridx.json
-//	fouridx bench -smoke -baseline BENCH_fouridx.json -tolerance 0.15
+//	fouridx bench -check
 //
 // The frontier subcommand computes the capacity-vs-bound frontier
 // artifact, checks the checked-in copy for staleness, and gates the

@@ -300,44 +300,25 @@ func TraceFaultSummary(tr *Tracer) FaultSummary { return tr.FaultSummary() }
 func WriteFaultSummary(w io.Writer, s FaultSummary) error { return trace.WriteFaultSummary(w, s) }
 
 // Benchmark harness (internal/perf): a fixed, reproducible matrix of
-// {schedule} x {execute sizes, cost molecules} x {GOMAXPROCS}, with
-// deterministic accounting always and wall-clock measurement on demand,
-// plus the regression gate CI runs against the checked-in baseline.
+// {schedule} x {execute sizes, cost molecules} recording deterministic
+// data-movement accounting only. The checked-in BENCH_fouridx.json is
+// pinned byte-for-byte by `fouridx bench -check`.
 type (
 	BenchConfig       = perf.Config
 	BenchExecutePoint = perf.ExecutePoint
 	BenchCostPoint    = perf.CostPoint
 	BenchPoint        = perf.Point
-	BenchMeasured     = perf.Measured
 	BenchReport       = perf.Report
-	BenchReadPath     = perf.ReadPathResult
 )
 
-// DefaultBenchConfig is the full matrix behind BENCH_fouridx.json;
-// SmokeBenchConfig the CI-sized strict subset of it.
+// DefaultBenchConfig is the full matrix behind BENCH_fouridx.json.
 func DefaultBenchConfig() BenchConfig { return perf.DefaultConfig() }
-
-// SmokeBenchConfig returns the smoke matrix (see DefaultBenchConfig).
-func SmokeBenchConfig() BenchConfig { return perf.SmokeConfig() }
 
 // RunBench executes a benchmark matrix.
 func RunBench(cfg BenchConfig) (*BenchReport, error) { return perf.Run(cfg) }
 
 // DecodeBenchReport reads a report written by BenchReport.Encode.
 func DecodeBenchReport(r io.Reader) (*BenchReport, error) { return perf.Decode(r) }
-
-// BenchGate compares a report against a baseline: deterministic metrics
-// within tolerance, wall times within tolerance after median-ratio
-// machine normalisation. Returns the violations found (empty = pass).
-func BenchGate(cur, base *BenchReport, tolerance float64) ([]string, error) {
-	return perf.Gate(cur, base, tolerance)
-}
-
-// BenchReadPathRun measures the frozen (lock-free) vs mutable (RWMutex)
-// GetT read paths on one shared tile.
-func BenchReadPathRun(procs, readsPerProc, dim int) (BenchReadPath, error) {
-	return perf.BenchReadPath(procs, readsPerProc, dim)
-}
 
 // Capacity-vs-bound frontier (internal/lb + internal/fourindex): for
 // every fast-memory capacity S there is a data-movement lower bound,

@@ -18,8 +18,7 @@
 //
 // Wall clock and randomness: time.Now and friends, plus the
 // process-seeded package-level math/rand functions, are flagged
-// everywhere outside the /perf measured layer and the experiments
-// harness (generalizing metricsdiscipline's rule, which only covers
+// everywhere outside the experiments harness (generalizing metricsdiscipline's rule, which only covers
 // scopes holding metrics.Counters or trace.Tracer). Explicitly seeded
 // generators (rand.New(rand.NewSource(seed))) are deterministic and
 // stay clean.
@@ -67,10 +66,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// clockExempt reports whether the package is part of the measured layer,
-// where wall-clock readings are the entire point.
+// clockExempt reports whether the package may read wall clocks and
+// draw process-seeded randomness: only the experiments reporting
+// harness. The benchmark harness (internal/perf) is not exempt; its
+// report is deterministic.
 func clockExempt(path string) bool {
-	return strings.HasSuffix(path, "/perf") || strings.Contains(path, "experiments")
+	return strings.Contains(path, "experiments")
 }
 
 // checkClock flags wall-clock and process-seeded randomness calls.
@@ -91,11 +92,11 @@ func checkClock(pass *analysis.Pass, file *ast.File) {
 		switch fn.Pkg().Path() {
 		case "time":
 			if wallClock[fn.Name()] {
-				pass.Reportf(call.Pos(), "wall-clock time.%s outside the /perf measured layer; results and traces must be bit-reproducible", fn.Name())
+				pass.Reportf(call.Pos(), "wall-clock time.%s outside the experiments harness; results and traces must be bit-reproducible", fn.Name())
 			}
 		case "math/rand", "math/rand/v2":
 			if !seededConstructors[fn.Name()] {
-				pass.Reportf(call.Pos(), "process-seeded rand.%s outside the /perf measured layer; use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
+				pass.Reportf(call.Pos(), "process-seeded rand.%s outside the experiments harness; use an explicitly seeded rand.New(rand.NewSource(seed))", fn.Name())
 			}
 		}
 		return true

@@ -11,9 +11,10 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, determinism.Analyzer, "./testdata/src/det")
 }
 
-// TestPerfExemption checks the measured-layer carve-out: a package whose
-// import path ends in /perf may read clocks and draw randomness, but map
-// iteration order still may not reach its outputs.
-func TestPerfExemption(t *testing.T) {
+// TestPerfNotExempt checks the benchmark harness has no clock or
+// randomness carve-out: a package whose import path ends in /perf is
+// flagged like any other, and map iteration order still may not reach
+// its outputs.
+func TestPerfNotExempt(t *testing.T) {
 	analysistest.Run(t, determinism.Analyzer, "./testdata/src/perf")
 }

@@ -1,5 +1,5 @@
 // Package det is the determinism fixture: order-dependent map-range
-// effects and wall-clock/randomness outside the measured layer are
+// effects and wall-clock/randomness outside the experiments harness are
 // flagged; the collect-then-sort idiom, keyed stores, integer
 // accumulation, and seeded generators stay clean.
 package det
@@ -15,17 +15,17 @@ import (
 
 // wallClockRead reads the process clock in simulated-time code.
 func wallClockRead() int64 {
-	return time.Now().UnixNano() // want `wall-clock time\.Now outside the /perf measured layer`
+	return time.Now().UnixNano() // want `wall-clock time\.Now outside the experiments harness`
 }
 
 // wallClockSleep stalls on real time.
 func wallClockSleep() {
-	time.Sleep(time.Millisecond) // want `wall-clock time\.Sleep outside the /perf measured layer`
+	time.Sleep(time.Millisecond) // want `wall-clock time\.Sleep outside the experiments harness`
 }
 
 // processSeededRand draws from the process-seeded global generator.
 func processSeededRand() int {
-	return rand.Int() // want `process-seeded rand\.Int outside the /perf measured layer`
+	return rand.Int() // want `process-seeded rand\.Int outside the experiments harness`
 }
 
 // cleanSeededRand builds an explicitly seeded generator: deterministic.

@@ -191,7 +191,7 @@ func typecheck(fset *token.FileSet, lp *listedPackage, byPath map[string]*Packag
 		Error:    func(error) {}, // collect the first hard error below instead
 	}
 	// Typecheck test-augmented variants ("pkg [pkg.test]") under the
-	// plain path so analyzers that inspect Pkg.Path() (e.g. the /perf
+	// plain path so analyzers that inspect Pkg.Path() (e.g. the experiments
 	// wall-clock exemption) see the real import path.
 	checkPath := lp.ImportPath
 	if i := strings.Index(checkPath, " ["); i >= 0 {

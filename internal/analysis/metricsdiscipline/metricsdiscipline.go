@@ -14,11 +14,9 @@
 // timing inside the runtime and the schedules comes from the machine
 // cost model (cluster.Run); a time.Now in a cost path makes the
 // replayed molecule-scale experiments nondeterministic. Wall-clock use
-// is allowed only in package main (drivers, figure generation), in the
-// experiments reporting package, and in the perf benchmark harness —
-// measuring wall time is perf's entire purpose, and its deterministic
-// report layer is pinned separately by its own golden and determinism
-// tests.
+// is allowed only in package main (drivers, figure generation) and in
+// the experiments reporting package. The perf benchmark harness is not
+// exempt: its report is deterministic accounting, pinned byte-for-byte.
 package metricsdiscipline
 
 import (
@@ -55,8 +53,7 @@ var wallClock = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	clockAllowed := pass.Pkg.Name() == "main" ||
-		strings.Contains(pass.Pkg.Path(), "experiments") ||
-		strings.HasSuffix(pass.Pkg.Path(), "/perf")
+		strings.Contains(pass.Pkg.Path(), "experiments")
 	for _, file := range pass.Files {
 		checkCounterFields(pass, file)
 		if !clockAllowed {

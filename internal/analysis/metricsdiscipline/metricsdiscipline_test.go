@@ -19,6 +19,8 @@ func TestPackageMainMayUseWallClock(t *testing.T) {
 	analysistest.Run(t, metricsdiscipline.Analyzer, "./testdata/src/clockmain")
 }
 
-func TestPerfHarnessMayUseWallClock(t *testing.T) {
+// TestPerfHarnessClockFlagged checks the benchmark harness has no
+// wall-clock exemption: its report is deterministic accounting.
+func TestPerfHarnessClockFlagged(t *testing.T) {
 	analysistest.Run(t, metricsdiscipline.Analyzer, "./testdata/src/perf")
 }

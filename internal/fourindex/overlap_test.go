@@ -8,12 +8,15 @@ import (
 	"fourindex/internal/ga"
 )
 
-// TestOverlapBitwiseIdentical is the PR's core execute-mode contract:
-// every schedule produces a C bitwise identical with the nonblocking
-// path on and off. The double-buffered gets read the same values (tiles
-// are frozen or single-writer across the prefetch window) and deferred
-// writes land in per-process program order, so not a single bit may
-// move.
+// TestOverlapBitwiseIdentical is the core execute-mode overlap
+// contract: every schedule produces a C bitwise identical with the
+// nonblocking path on and off. The double-buffered gets read the same
+// values (tiles are frozen or single-writer across the prefetch window)
+// and deferred writes land in per-process program order, so not a
+// single bit may move. The data-movement accounting must not move
+// either: flops, elements moved at every level, messages and peak
+// global memory are equal with overlap on and off, which is why the
+// benchmark matrix records execute points with overlap off only.
 func TestOverlapBitwiseIdentical(t *testing.T) {
 	sp := chem.MustSpec(12, 2, 11)
 	base := Options{Spec: sp, Procs: 3, Mode: ga.Execute, TileN: 4, TileL: 3}
@@ -29,6 +32,21 @@ func TestOverlapBitwiseIdentical(t *testing.T) {
 			t.Fatalf("%v overlap on: %v", scheme, err)
 		}
 		bitwiseEqual(t, scheme.String()+" overlap", overlapped.C.Data(), blocking.C.Data())
+		for _, c := range []struct {
+			name    string
+			off, on int64
+		}{
+			{"flops", blocking.Totals.Flops, overlapped.Totals.Flops},
+			{"comm volume", blocking.CommVolume, overlapped.CommVolume},
+			{"intra volume", blocking.IntraVolume, overlapped.IntraVolume},
+			{"disk volume", blocking.DiskVolume, overlapped.DiskVolume},
+			{"messages", blocking.Totals.CommMessages, overlapped.Totals.CommMessages},
+			{"peak global bytes", blocking.PeakGlobalBytes, overlapped.PeakGlobalBytes},
+		} {
+			if c.off != c.on {
+				t.Errorf("%v: %s %d with overlap off, %d on", scheme, c.name, c.off, c.on)
+			}
+		}
 	}
 }
 

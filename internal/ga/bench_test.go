@@ -39,3 +39,56 @@ func BenchmarkParallelRegion(b *testing.B) {
 		_ = rt.Parallel(func(p *Proc) { p.Compute(1) })
 	}
 }
+
+// BenchmarkGetTReadPath contrasts the two GetT read paths with eight
+// processes hammering one shared tile: "locked" through the per-tile
+// RWMutex of a mutable tensor, "frozen" lock-free after Freeze (the
+// immutable-after-sync path the schedules use for frozen inputs and
+// intermediates). The tile is small so the copy stays cheap and the
+// contrast is the lock acquisition itself. ns/op is per read per
+// process.
+func BenchmarkGetTReadPath(b *testing.B) {
+	const procs, dim = 8, 8
+	for _, frozen := range []bool{false, true} {
+		name := "locked"
+		if frozen {
+			name = "frozen"
+		}
+		b.Run(name, func(b *testing.B) {
+			rt, err := NewRuntime(Config{Procs: procs, Mode: Execute})
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := tile.NewGrid(dim, dim)
+			a, err := rt.CreateTiled("readpath", []tile.Grid{g, g}, nil, tile.RoundRobin)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rt.DestroyTiled(a)
+			init := make([]float64, dim*dim)
+			for i := range init {
+				init[i] = float64(i)
+			}
+			if err := rt.Parallel(func(p *Proc) {
+				if p.ID() == 0 {
+					p.PutT(a, init, 0, 0)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+			if frozen {
+				a.Freeze()
+			}
+			b.ResetTimer()
+			if err := rt.Parallel(func(p *Proc) {
+				buf := p.MustAllocLocal(dim * dim)
+				defer p.FreeLocal(buf)
+				for i := 0; i < b.N; i++ {
+					p.GetT(a, buf.Data, 0, 0)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

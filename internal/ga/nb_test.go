@@ -2,6 +2,7 @@ package ga
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -397,5 +398,62 @@ func TestFreeLocalValidFreeStillWorks(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nbAllocs runs the nonblocking-verb allocation region: procs processes
+// each issue ops NbAccT+Wait / NbGetT+Wait pairs against their own
+// dim x dim tile. The region runs once to populate the staging pools
+// and once measured; the measured run's heap-allocation count is
+// returned. With overlap off the verbs degrade to their blocking
+// equivalents.
+func nbAllocs(t *testing.T, procs, ops, dim int, overlap bool) int64 {
+	t.Helper()
+	rt, err := NewRuntime(Config{Procs: procs, Mode: Execute, Overlap: overlap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := rt.CreateTiled("nballoc", []tile.Grid{tile.NewGrid(dim*procs, dim), tile.NewGrid(dim, dim)}, nil, tile.RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.DestroyTiled(a)
+
+	region := func() {
+		if err := rt.Parallel(func(p *Proc) {
+			buf := p.MustAllocLocal(int64(dim * dim))
+			defer p.FreeLocal(buf)
+			for i := range buf.Data {
+				buf.Data[i] = float64(i + p.ID())
+			}
+			for r := 0; r < ops; r++ {
+				p.NbAccT(a, 1, buf.Data, p.ID(), 0).Wait(p)
+				p.NbGetT(a, buf.Data, p.ID(), 0).Wait(p)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	region()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	region()
+	runtime.ReadMemStats(&ms1)
+	return int64(ms1.Mallocs - ms0.Mallocs)
+}
+
+// TestNbAllocDeltaBounded is the overlap allocation-regression gate:
+// the overlapped nonblocking path may allocate a handle and little else
+// per operation beyond the blocking path. The pre-pooling path spawned
+// a goroutine, a channel and a closure per operation (≈5-7 extra
+// allocations each) and tripped this bound immediately.
+func TestNbAllocDeltaBounded(t *testing.T) {
+	const procs, ops, dim = 3, 2000, 8
+	blocking := nbAllocs(t, procs, ops, dim, false)
+	overlap := nbAllocs(t, procs, ops, dim, true)
+	delta := float64(overlap-blocking) / float64(2*procs*ops)
+	t.Logf("blocking %d allocs, overlap %d allocs, delta %.2f/op", blocking, overlap, delta)
+	if delta > 3 {
+		t.Errorf("overlap path allocates %.2f more objects per op than blocking (want <= 3)", delta)
 	}
 }

@@ -1,35 +1,24 @@
-// Package perf is the reproducible benchmark harness: it runs a fixed
-// matrix of {schedule} x {execute-mode sizes, cost-mode molecules} x
-// {GOMAXPROCS points}, records the deterministic accounting every run
-// produces (flops, elements moved, messages, peak memory, simulated
-// seconds, bound attainment from the trace audit) and — optionally —
-// measured wall time and allocations, and emits a schema-versioned JSON
+// Package perf is the deterministic benchmark harness: it runs a fixed
+// matrix of {schedule} x {execute-mode sizes, cost-mode molecules},
+// records the data-movement accounting every run produces (flops,
+// elements moved, messages, peak memory, simulated seconds, bound
+// attainment from the trace audit) and emits a schema-versioned JSON
 // report (BENCH_fouridx.json at the repo root).
 //
-// The report splits cleanly into two layers:
-//
-//   - Deterministic fields are identical on every machine and every run
-//     (the cost/execute equivalence the runtime's counters guarantee).
-//     With Config.Measure off the whole report is byte-stable, which the
-//     determinism and golden-file tests pin.
-//
-//   - The optional "measured" sub-object carries wall-clock quantities.
-//     These are machine-dependent; the regression gate (Gate) normalises
-//     them by the median ratio across points before applying its
-//     tolerance, so a uniformly faster or slower machine does not trip
-//     the gate while a single regressed schedule does.
-//
-// perf is the one non-main package permitted to read the wall clock
-// (enforced by the metricsdiscipline analyzer): benchmarking is its
-// entire purpose.
+// Every field is a function of the program's parameters, identical on
+// every machine and every run (the cost/execute equivalence the
+// runtime's counters guarantee), so the report is byte-stable and the
+// checked-in artifact is pinned byte-for-byte by `fouridx bench -check`.
+// Wall-clock evidence lives in the perfbench benchmark, not here; perf
+// reads no clock.
 package perf
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
-	"time"
+	"io"
 
 	"fourindex/internal/chem"
 	"fourindex/internal/experiments"
@@ -39,13 +28,15 @@ import (
 )
 
 // SchemaVersion is bumped whenever the JSON report shape changes
-// incompatibly; Gate refuses to compare across versions. Version 2
-// added the overlap axis (each matrix cell runs with the nonblocking
-// communication path off and on) and the exposed-comm fraction.
-// Version 3 added an opt-in GEMM-kernel axis on execute points and its
-// crossover-calibration block; version 4 removed both again, so a v3
-// baseline (whose extra points would no longer match) is refused.
-const SchemaVersion = 4
+// incompatibly; TunerGate refuses a baseline of another version.
+// Version 2 added the overlap axis (each matrix cell runs with the
+// nonblocking communication path off and on) and the exposed-comm
+// fraction. Version 3 added an opt-in GEMM-kernel axis on execute
+// points and its crossover-calibration block; version 4 removed both
+// again. Version 5 removed the wall-clock layer (measured fields, the
+// read-path and transposed-B GEMM blocks), the GOMAXPROCS axis and the
+// execute-mode overlap-on points, whose accounting equals overlap off.
+const SchemaVersion = 5
 
 // benchSeed fixes the integral-generator seed for every benchmark run.
 const benchSeed = 7
@@ -68,7 +59,11 @@ type CostPoint struct {
 	Cores int
 }
 
-// Config selects the benchmark matrix.
+// Config selects the benchmark matrix. Execute points run with the
+// nonblocking path off: overlap changes no execute-mode counter (the
+// fourindex overlap tests pin that, along with bitwise C). Cost points
+// run with it off and on, because the simulated seconds and the
+// exposed-comm fraction differ.
 type Config struct {
 	// Schemes to run at every execute point. Empty selects all eight.
 	Schemes []fourindex.Scheme
@@ -80,22 +75,6 @@ type Config struct {
 	ExecutePoints []ExecutePoint
 	// CostPoints are the cost-mode molecule points.
 	CostPoints []CostPoint
-	// Gomaxprocs sweeps runtime.GOMAXPROCS over execute points (cost
-	// points simulate their own parallelism and run at the ambient
-	// setting). Empty selects {1, 4}.
-	Gomaxprocs []int
-	// Overlap sweeps Options.Overlap over every point: off exercises the
-	// blocking verbs, on the nonblocking double-buffered path. Empty
-	// selects {false, true}, which pins the overlap win (cost-mode
-	// simulated seconds and the exposed-comm fraction) in the baseline.
-	Overlap []bool
-	// Measure records wall time and allocations (and the read-path and
-	// transposed-B GEMM microbenchmarks). Off, the report is fully
-	// deterministic.
-	Measure bool
-	// Repeats is how many timed repetitions each measured point runs;
-	// the minimum wall time is reported (default 3).
-	Repeats int
 }
 
 // DefaultConfig is the full checked-in matrix behind BENCH_fouridx.json.
@@ -107,38 +86,7 @@ func DefaultConfig() Config {
 			{Molecule: "Hyperpolar", System: "B", Cores: 140},
 			{Molecule: "C60H20", System: "B", Cores: 140},
 		},
-		Gomaxprocs: []int{1, 4},
-		Measure:    true,
-		Repeats:    3,
 	}
-}
-
-// SmokeConfig is a strict subset of DefaultConfig sized for CI: every
-// scheme still runs, at the smallest execute and cost points only, so
-// Gate can compare a smoke run against the full checked-in baseline.
-// The extra repeats buy a stabler minimum on shared CI machines — the
-// smoke points are small, so five repetitions still finish in seconds.
-func SmokeConfig() Config {
-	return Config{
-		ExecutePoints: []ExecutePoint{{N: 16, Procs: 2}},
-		CostPoints:    []CostPoint{{Molecule: "Hyperpolar", System: "A", Cores: 32}},
-		Gomaxprocs:    []int{1},
-		Measure:       true,
-		Repeats:       5,
-	}
-}
-
-// Measured carries the machine-dependent quantities of one point. It is
-// present only when Config.Measure was set.
-type Measured struct {
-	// WallSeconds is the minimum wall time over the configured repeats.
-	WallSeconds float64 `json:"wallSeconds"`
-	// FlopsPerSec is Flops / WallSeconds (execute points only; cost
-	// points count simulated flops the host never performs).
-	FlopsPerSec float64 `json:"flopsPerSec,omitempty"`
-	// AllocBytes and Allocs are the heap-allocation deltas of one run.
-	AllocBytes int64 `json:"allocBytes"`
-	Allocs     int64 `json:"allocs"`
 }
 
 // Point is one completed cell of the benchmark matrix.
@@ -154,11 +102,8 @@ type Point struct {
 	System   string `json:"system,omitempty"`
 	// Procs is the GA process count (simulated cores for cost points).
 	Procs int `json:"procs"`
-	// Gomaxprocs is the host parallelism the point ran at (execute
-	// points; 0 for cost points).
-	Gomaxprocs int `json:"gomaxprocs,omitempty"`
 	// Overlap reports whether the point ran with the nonblocking
-	// communication path (Options.Overlap).
+	// communication path (Options.Overlap; cost points only).
 	Overlap bool `json:"overlap,omitempty"`
 
 	// Deterministic accounting, identical across machines and runs.
@@ -179,29 +124,31 @@ type Point struct {
 	// audit (sum of per-phase lower bounds over actual elements moved,
 	// memory-independent floor), 0 when no phase was auditable.
 	Attained float64 `json:"attained,omitempty"`
-
-	// Measured is nil unless Config.Measure was set.
-	Measured *Measured `json:"measured,omitempty"`
-}
-
-// Key identifies a point across reports (for baseline comparison).
-func (p Point) Key() string {
-	ov := 0
-	if p.Overlap {
-		ov = 1
-	}
-	return fmt.Sprintf("%s/%s/n%d/%s%s/p%d/g%d/o%d",
-		p.Kind, p.Scheme, p.N, p.Molecule, p.System, p.Procs, p.Gomaxprocs, ov)
 }
 
 // Report is the schema-versioned benchmark output.
 type Report struct {
 	SchemaVersion int     `json:"schemaVersion"`
 	Points        []Point `json:"points"`
-	// ReadPath is the GetT read-path microbenchmark (Measure only).
-	ReadPath *ReadPathResult `json:"readPath,omitempty"`
-	// GemmTransB is the transposed-B GEMM microbenchmark (Measure only).
-	GemmTransB *GemmTransBResult `json:"gemmTransB,omitempty"`
+}
+
+// Encode writes the report as indented JSON. encoding/json emits struct
+// fields in declaration order, so equal reports encode byte-identically
+// (the property the determinism and golden tests and `fouridx bench
+// -check` pin).
+func (r *Report) Encode(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
+}
+
+// Decode reads a report written by Encode.
+func Decode(rd io.Reader) (*Report, error) {
+	var r Report
+	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+		return nil, fmt.Errorf("perf: decoding report: %w", err)
+	}
+	return &r, nil
 }
 
 // withDefaults fills the config's empty fields.
@@ -220,22 +167,13 @@ func (c Config) withDefaults() Config {
 			}
 		}
 	}
-	if len(c.Gomaxprocs) == 0 {
-		c.Gomaxprocs = []int{1, 4}
-	}
-	if len(c.Overlap) == 0 {
-		c.Overlap = []bool{false, true}
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 3
-	}
 	return c
 }
 
 // Run executes the benchmark matrix and returns the report. The matrix
-// order is fixed (gomaxprocs, then point, then scheme, then overlap;
-// cost points after execute points) so reports are comparable line by
-// line. Run never cancels; RunContext adds cooperative cancellation.
+// order is fixed (point, then scheme, then overlap; cost points after
+// execute points) so reports are comparable line by line. Run never
+// cancels; RunContext adds cooperative cancellation.
 func Run(cfg Config) (*Report, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -248,46 +186,26 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{SchemaVersion: SchemaVersion}
 
-	for _, gmp := range cfg.Gomaxprocs {
-		prev := runtime.GOMAXPROCS(gmp)
-		for _, ep := range cfg.ExecutePoints {
-			for _, s := range cfg.Schemes {
-				for _, ov := range cfg.Overlap {
-					pt, err := runExecutePoint(ctx, s, ep, gmp, ov, cfg)
-					if err != nil {
-						runtime.GOMAXPROCS(prev)
-						return nil, err
-					}
-					rep.Points = append(rep.Points, pt)
-				}
+	for _, ep := range cfg.ExecutePoints {
+		for _, s := range cfg.Schemes {
+			pt, err := runExecutePoint(ctx, s, ep)
+			if err != nil {
+				return nil, err
 			}
+			rep.Points = append(rep.Points, pt)
 		}
-		runtime.GOMAXPROCS(prev)
 	}
 
 	for _, cp := range cfg.CostPoints {
 		for _, s := range cfg.CostSchemes {
-			for _, ov := range cfg.Overlap {
-				pt, err := runCostPoint(ctx, s, cp, ov, cfg)
+			for _, ov := range []bool{false, true} {
+				pt, err := runCostPoint(ctx, s, cp, ov)
 				if err != nil {
 					return nil, err
 				}
 				rep.Points = append(rep.Points, pt)
 			}
 		}
-	}
-
-	if cfg.Measure {
-		// A small tile keeps the copy cheap so the measurement contrasts
-		// the lock acquisition itself (the contended cost the frozen fast
-		// path removes) rather than memcpy throughput.
-		rp, err := BenchReadPath(8, 5000, 8)
-		if err != nil {
-			return nil, err
-		}
-		rep.ReadPath = &rp
-		gb := BenchGemmTransB(192, 192, 192)
-		rep.GemmTransB = &gb
 	}
 	return rep, nil
 }
@@ -301,14 +219,13 @@ func executeOptions(ep ExecutePoint) (fourindex.Options, error) {
 	return fourindex.Options{Spec: spec, Procs: ep.Procs, Mode: ga.Execute}, nil
 }
 
-func runExecutePoint(ctx context.Context, s fourindex.Scheme, ep ExecutePoint, gmp int, overlap bool, cfg Config) (Point, error) {
+func runExecutePoint(ctx context.Context, s fourindex.Scheme, ep ExecutePoint) (Point, error) {
 	opt, err := executeOptions(ep)
 	if err != nil {
 		return Point{}, err
 	}
-	opt.Overlap = overlap
-	pt := Point{Kind: "execute", Scheme: s.String(), N: ep.N, Procs: ep.Procs, Gomaxprocs: gmp, Overlap: overlap}
-	if err := fillPoint(ctx, &pt, s, opt, ep.N, 1, cfg); err != nil {
+	pt := Point{Kind: "execute", Scheme: s.String(), N: ep.N, Procs: ep.Procs}
+	if err := fillPoint(ctx, &pt, s, opt, ep.N, 1); err != nil {
 		if errors.Is(err, fourindex.ErrCanceled) {
 			return Point{}, err
 		}
@@ -317,14 +234,14 @@ func runExecutePoint(ctx context.Context, s fourindex.Scheme, ep ExecutePoint, g
 	return pt, nil
 }
 
-func runCostPoint(ctx context.Context, s fourindex.Scheme, cp CostPoint, overlap bool, cfg Config) (Point, error) {
+func runCostPoint(ctx context.Context, s fourindex.Scheme, cp CostPoint, overlap bool) (Point, error) {
 	opt, err := experiments.BenchOptions(cp.Molecule, cp.System, cp.Cores)
 	if err != nil {
 		return Point{}, err
 	}
 	opt.Overlap = overlap
 	pt := Point{Kind: "cost", Scheme: s.String(), Molecule: cp.Molecule, System: cp.System, Procs: cp.Cores, Overlap: overlap}
-	if err := fillPoint(ctx, &pt, s, opt, opt.Spec.N, experiments.SpatialSymmetry, cfg); err != nil {
+	if err := fillPoint(ctx, &pt, s, opt, opt.Spec.N, experiments.SpatialSymmetry); err != nil {
 		if errors.Is(err, fourindex.ErrCanceled) {
 			return Point{}, err
 		}
@@ -333,10 +250,9 @@ func runCostPoint(ctx context.Context, s fourindex.Scheme, cp CostPoint, overlap
 	return pt, nil
 }
 
-// fillPoint runs one traced pass for the deterministic accounting plus,
-// under cfg.Measure, untraced timed repetitions for the wall-clock
-// fields (tracer overhead stays out of the measurement).
-func fillPoint(ctx context.Context, pt *Point, s fourindex.Scheme, opt fourindex.Options, n, symFactor int, cfg Config) error {
+// fillPoint runs one traced pass and records its accounting and
+// bound attainment in pt.
+func fillPoint(ctx context.Context, pt *Point, s fourindex.Scheme, opt fourindex.Options, n, symFactor int) error {
 	tr := trace.New(0)
 	opt.Trace = tr
 	res, err := fourindex.RunContext(ctx, s, opt)
@@ -355,35 +271,6 @@ func fillPoint(ctx context.Context, pt *Point, s fourindex.Scheme, opt fourindex
 		pt.ExposedCommFraction = res.ExposedCommSeconds / total
 	}
 	pt.Attained = aggregateAttained(tr.Audit(n, symFactor, 0))
-
-	if !cfg.Measure {
-		return nil
-	}
-	opt.Trace = nil
-	var ms0, ms1 runtime.MemStats
-	best := 0.0
-	for r := 0; r < cfg.Repeats; r++ {
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		if _, err := fourindex.RunContext(ctx, s, opt); err != nil {
-			return err
-		}
-		wall := time.Since(start).Seconds()
-		runtime.ReadMemStats(&ms1)
-		if r == 0 || wall < best {
-			best = wall
-		}
-		if r == 0 {
-			pt.Measured = &Measured{
-				AllocBytes: int64(ms1.TotalAlloc - ms0.TotalAlloc),
-				Allocs:     int64(ms1.Mallocs - ms0.Mallocs),
-			}
-		}
-	}
-	pt.Measured.WallSeconds = best
-	if pt.Kind == "execute" && best > 0 {
-		pt.Measured.FlopsPerSec = float64(pt.Flops) / best
-	}
 	return nil
 }
 

@@ -12,20 +12,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden benchmark report")
 
-// goldenConfig is one tiny fully-deterministic cell: no measurement, so
-// the encoded report must be byte-stable across machines and runs.
+// goldenConfig is one tiny execute cell; the encoded report must be
+// byte-stable across machines and runs.
 func goldenConfig() Config {
 	return Config{
 		Schemes:       []fourindex.Scheme{fourindex.Unfused, fourindex.FullyFusedInner},
 		ExecutePoints: []ExecutePoint{{N: 12, Procs: 2}},
-		Gomaxprocs:    []int{1},
 	}
 }
 
 // TestGoldenReportSchema pins the report's JSON shape (field names, key
-// order, schema version) and the deterministic accounting of a fixed
-// execute point. Regenerate with `go test ./internal/perf -update` only
-// when the schema or the schedules change intentionally.
+// order, schema version) and the accounting of a fixed execute point,
+// and checks that bound attainment lands in (0, 1]. Regenerate with
+// `go test ./internal/perf -update` only when the schema or the
+// schedules change intentionally.
 func TestGoldenReportSchema(t *testing.T) {
 	rep, err := Run(goldenConfig())
 	if err != nil {
@@ -33,6 +33,11 @@ func TestGoldenReportSchema(t *testing.T) {
 	}
 	if rep.SchemaVersion != SchemaVersion {
 		t.Fatalf("SchemaVersion = %d, want %d", rep.SchemaVersion, SchemaVersion)
+	}
+	for _, p := range rep.Points {
+		if p.Attained <= 0 || p.Attained > 1.000001 {
+			t.Errorf("%s n=%d: attained %v outside (0, 1]", p.Scheme, p.N, p.Attained)
+		}
 	}
 	var buf bytes.Buffer
 	if err := rep.Encode(&buf); err != nil {
@@ -61,7 +66,6 @@ func TestCostModeDeterminism(t *testing.T) {
 	cfg := Config{
 		Schemes:    []fourindex.Scheme{fourindex.Unfused, fourindex.Fused1234Pair},
 		CostPoints: []CostPoint{{Molecule: "Hyperpolar", System: "A", Cores: 32}},
-		Gomaxprocs: []int{1},
 	}
 	encode := func() []byte {
 		rep, err := Run(cfg)
@@ -101,102 +105,5 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(orig, buf2.Bytes()) {
 		t.Error("Decode(Encode(r)) re-encoded differently")
-	}
-}
-
-// TestMeasuredFieldsPresent checks the measured layer appears exactly
-// when asked for, and that attainment lands in (0, 1].
-func TestMeasuredFieldsPresent(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.Measure = true
-	cfg.Repeats = 1
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ReadPath == nil {
-		t.Error("Measure run has no readPath result")
-	} else if rep.ReadPath.FrozenSeconds <= 0 || rep.ReadPath.LockedSeconds <= 0 {
-		t.Errorf("read-path timings not positive: %+v", rep.ReadPath)
-	}
-	if rep.GemmTransB == nil {
-		t.Error("Measure run has no gemmTransB result")
-	} else if rep.GemmTransB.NoTransSeconds <= 0 || rep.GemmTransB.TransBSeconds <= 0 {
-		t.Errorf("gemm transB timings not positive: %+v", rep.GemmTransB)
-	}
-	for _, p := range rep.Points {
-		if p.Measured == nil {
-			t.Errorf("%s: no measured fields on a Measure run", p.Key())
-			continue
-		}
-		if p.Measured.WallSeconds <= 0 {
-			t.Errorf("%s: wall %v, want > 0", p.Key(), p.Measured.WallSeconds)
-		}
-		if p.Attained <= 0 || p.Attained > 1.000001 {
-			t.Errorf("%s: attained %v outside (0, 1]", p.Key(), p.Attained)
-		}
-	}
-}
-
-// TestSmokeIsSubsetOfDefault guards the CI contract: every smoke matrix
-// cell must exist in the full matrix, or gating a smoke run against the
-// checked-in full baseline would fail spuriously.
-func TestSmokeIsSubsetOfDefault(t *testing.T) {
-	full := DefaultConfig().withDefaults()
-	smoke := SmokeConfig().withDefaults()
-	inExec := func(e ExecutePoint) bool {
-		for _, f := range full.ExecutePoints {
-			if f == e {
-				return true
-			}
-		}
-		return false
-	}
-	inCost := func(c CostPoint) bool {
-		for _, f := range full.CostPoints {
-			if f == c {
-				return true
-			}
-		}
-		return false
-	}
-	inGmp := func(g int) bool {
-		for _, f := range full.Gomaxprocs {
-			if f == g {
-				return true
-			}
-		}
-		return false
-	}
-	inOverlap := func(o bool) bool {
-		for _, f := range full.Overlap {
-			if f == o {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range smoke.ExecutePoints {
-		if !inExec(e) {
-			t.Errorf("smoke execute point %+v not in the full matrix", e)
-		}
-	}
-	for _, c := range smoke.CostPoints {
-		if !inCost(c) {
-			t.Errorf("smoke cost point %+v not in the full matrix", c)
-		}
-	}
-	for _, g := range smoke.Gomaxprocs {
-		if !inGmp(g) {
-			t.Errorf("smoke gomaxprocs %d not in the full matrix", g)
-		}
-	}
-	for _, o := range smoke.Overlap {
-		if !inOverlap(o) {
-			t.Errorf("smoke overlap %v not in the full matrix", o)
-		}
-	}
-	if len(smoke.Schemes) != len(full.Schemes) || len(smoke.CostSchemes) != len(full.CostSchemes) {
-		t.Error("smoke must run the same scheme set as the full matrix")
 	}
 }
