@@ -17,11 +17,15 @@ import (
 func runBench(args []string) {
 	fs := flag.NewFlagSet("fouridx bench", flag.ExitOnError)
 	var (
-		out     = fs.String("o", "BENCH_fouridx.json", "report output path (empty = stdout summary only)")
-		check   = fs.Bool("check", false, "do not write: recompute and fail if the report at -o is stale")
-		verbose = fs.Bool("v", false, "print every matrix point, not just the summary")
+		out      = fs.String("o", "BENCH_fouridx.json", "report output path (empty = stdout summary only)")
+		check    = fs.Bool("check", false, "do not write: recompute and fail if the report at -o is stale")
+		verbose  = fs.Bool("v", false, "print every matrix point, not just the summary")
+		profiles = profileFlags(fs)
 	)
 	fatalIf(fs.Parse(args))
+	stopProfiles, err := profiles()
+	fatalIf(err)
+	defer func() { fatalIf(stopProfiles()) }()
 
 	rep, err := fourindex.RunBench(fourindex.DefaultBenchConfig())
 	fatalIf(err)

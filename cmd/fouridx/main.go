@@ -30,6 +30,8 @@
 //	fouridx bench -o BENCH_fouridx.json
 //	fouridx bench -check
 //
+// The default command, trace and bench take -cpuprofile and -memprofile.
+//
 // The frontier subcommand computes the capacity-vs-bound frontier
 // artifact, checks the checked-in copy for staleness, and gates the
 // frontier-driven tuner against the benchmark baseline (see README
@@ -104,12 +106,11 @@ func main() {
 		verbose  = flag.Bool("v", false, "print the transformed tensor's checksum")
 		autotune = flag.Bool("autotune", false, "sweep configurations in simulation and report the fastest (needs -system)")
 		jsonOut  = flag.Bool("json", false, "emit the result as JSON on stdout")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
+		profiles = profileFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	stopProfiles, err := profiles()
 	fatalIf(err)
 	defer func() { fatalIf(stopProfiles()) }()
 

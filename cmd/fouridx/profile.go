@@ -1,11 +1,21 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
+
+// profileFlags registers -cpuprofile and -memprofile on fs and returns
+// a function that starts the profiles they name through startProfiles;
+// call it once fs is parsed.
+func profileFlags(fs *flag.FlagSet) func() (stop func() error, err error) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	mem := fs.String("memprofile", "", "write a heap profile to this file when the run ends")
+	return func() (func() error, error) { return startProfiles(*cpu, *mem) }
+}
 
 // startProfiles starts a CPU profile written to cpuPath and arranges a
 // heap profile written to memPath; an empty path skips that profile. The

@@ -47,3 +47,22 @@ func TestStartProfiles(t *testing.T) {
 		t.Error("heap profile into a missing directory: want an error")
 	}
 }
+
+// TestTraceProfiles runs the trace subcommand with both profile flags
+// (the flags bench shares through profileFlags) and checks that both
+// profiles land as non-empty files beside the trace.
+func TestTraceProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	runTrace([]string{"-n", "8", "-procs", "2", "-o", filepath.Join(dir, "trace.json"),
+		"-cpuprofile", cpu, "-memprofile", mem})
+	for _, p := range []string{cpu, mem} {
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", p)
+		}
+	}
+}

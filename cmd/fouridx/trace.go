@@ -34,8 +34,12 @@ func runTrace(args []string) {
 		ovEff    = fs.Float64("overlap-eff", 0, "fraction of in-flight transfer time the cost model may hide, in (0, 1] (0 = 1, full overlap)")
 		events   = fs.Int("events", 0, "event ring capacity (0 = default 32768)")
 		out      = fs.String("o", "trace.json", "Chrome trace_event JSON output path")
+		profiles = profileFlags(fs)
 	)
 	fatalIf(fs.Parse(args))
+	stopProfiles, err := profiles()
+	fatalIf(err)
+	defer func() { fatalIf(stopProfiles()) }()
 
 	sch, err := fourindex.SchemeByName(*scheme)
 	fatalIf(err)

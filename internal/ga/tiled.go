@@ -30,8 +30,8 @@ type TiledArray struct {
 	SymPairs [][2]int
 	Dist     tile.Dist
 
-	strides []int // canonical tile-id strides per dimension
-	bytes   int64
+	dims  []dimGeom // per-dimension canonical geometry, fixed at creation
+	bytes int64
 
 	// stored flags which canonical tiles actually exist; nil means all
 	// do. Tiles dropped by a sparsity filter (spatial symmetry in the
@@ -74,6 +74,9 @@ func (rt *Runtime) CreateTiledSparse(name string, grids []tile.Grid, symPairs []
 	if len(grids) == 0 {
 		return nil, fmt.Errorf("ga: tensor %q needs at least one dimension", name)
 	}
+	a := &TiledArray{rt: rt, Name: name, Grids: grids, SymPairs: symPairs}
+	a.dims = make([]dimGeom, len(grids))
+	inPair := make([]bool, len(grids))
 	for _, p := range symPairs {
 		if p[1] != p[0]+1 || p[0] < 0 || p[1] >= len(grids) {
 			return nil, fmt.Errorf("ga: tensor %q has invalid symmetric pair %v", name, p)
@@ -81,33 +84,44 @@ func (rt *Runtime) CreateTiledSparse(name string, grids []tile.Grid, symPairs []
 		if grids[p[0]] != grids[p[1]] {
 			return nil, fmt.Errorf("ga: tensor %q symmetric pair %v has mismatched grids", name, p)
 		}
+		if inPair[p[0]] || inPair[p[1]] {
+			return nil, fmt.Errorf("ga: tensor %q symmetric pair %v overlaps another pair", name, p)
+		}
+		inPair[p[0]], inPair[p[1]] = true, true
+		a.dims[p[0]].pair = true
 	}
-	a := &TiledArray{rt: rt, Name: name, Grids: grids, SymPairs: symPairs}
 
-	// Canonical tile-id space: symmetric pairs collapse to a packed
-	// pair index, other dims contribute their tile count.
-	dims := a.canonicalDims()
-	a.strides = make([]int, len(dims))
-	total := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		a.strides[i] = total
-		total *= dims[i]
+	// Canonical tile-id space: a symmetric pair collapses to a packed
+	// pair index in its first dim and the absorbed second dim has
+	// extent 1; other dims contribute their tile count.
+	for d, g := range grids {
+		a.dims[d].tiles = g.NumTiles()
 	}
+	total := 1
+	for d := len(grids) - 1; d >= 0; d-- {
+		a.dims[d].stride = total
+		switch {
+		case a.dims[d].pair:
+			total *= sym.Pairs(a.dims[d].tiles)
+		case !inPair[d]:
+			total *= a.dims[d].tiles
+		}
+	}
+	a.Dist = tile.NewDist(total, rt.cfg.Procs, pol, 1)
 
 	// Total bytes: sum of stored canonical tile sizes.
 	var words int64
-	if storedFn != nil {
+	if storedFn == nil {
+		words = a.denseWords()
+	} else {
 		a.stored = make([]bool, total)
-	}
-	a.forEachCanonical(func(coords []int) {
-		if storedFn != nil {
-			if !storedFn(coords) {
-				return
+		a.forEachCanonical(func(id int, coords []int) {
+			if storedFn(coords) {
+				a.stored[id] = true
+				words += int64(a.TileWords(coords))
 			}
-			a.stored[a.canonicalID(coords)] = true
-		}
-		words += int64(a.TileWords(coords))
-	})
+		})
+	}
 	a.bytes = words * 8
 
 	lim := rt.effectiveGlobalMem()
@@ -132,7 +146,6 @@ func (rt *Runtime) CreateTiledSparse(name string, grids []tile.Grid, symPairs []
 	rt.liveArrays++
 	rt.mu.Unlock()
 
-	a.Dist = tile.NewDist(total, rt.cfg.Procs, pol, 1)
 	if rt.cfg.Mode == Execute {
 		a.data = make([][]float64, total)
 		a.locks = make([]sync.RWMutex, total)
@@ -144,85 +157,74 @@ func (rt *Runtime) CreateTiledSparse(name string, grids []tile.Grid, symPairs []
 	return a, nil
 }
 
-// canonicalDims returns the extent of each canonical tile coordinate:
-// for the first dim of a symmetric pair, the packed pair-count; the
-// second dim of a pair contributes 1 (absorbed); others their tile count.
-func (a *TiledArray) canonicalDims() []int {
-	dims := make([]int, len(a.Grids))
-	for d, g := range a.Grids {
-		dims[d] = g.NumTiles()
-	}
-	for _, p := range a.SymPairs {
-		dims[p[0]] = sym.Pairs(a.Grids[p[0]].NumTiles())
-		dims[p[1]] = 1
-	}
-	return dims
+// dimGeom is one dimension's share of the canonical tile-id geometry.
+type dimGeom struct {
+	tiles  int  // tile count of the dimension's grid
+	stride int  // canonical tile-id stride
+	pair   bool // the dimension starts a symmetric pair (d, d+1)
 }
 
-// forEachCanonical visits every canonical tile coordinate tuple.
-func (a *TiledArray) forEachCanonical(f func(coords []int)) {
-	nd := len(a.Grids)
-	coords := make([]int, nd)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == nd {
-			f(coords)
-			return
-		}
-		if sp := a.symPairAt(d); sp >= 0 {
-			for ti := 0; ti < a.Grids[d].NumTiles(); ti++ {
-				for tj := 0; tj <= ti; tj++ {
-					coords[d], coords[d+1] = ti, tj
-					rec(d + 2)
-				}
-			}
-			return
-		}
-		for t := 0; t < a.Grids[d].NumTiles(); t++ {
-			coords[d] = t
-			rec(d + 1)
-		}
+// forEachCanonical visits every canonical tile in increasing id order,
+// passing the id and its coordinates.
+func (a *TiledArray) forEachCanonical(f func(id int, coords []int)) {
+	coords := make([]int, len(a.Grids))
+	for id := 0; id < a.Dist.NumTiles; id++ {
+		a.tileCoords(id, coords)
+		f(id, coords)
 	}
-	rec(0)
 }
 
-// symPairAt returns the pair index if dimension d starts a symmetric
-// pair, else -1.
-func (a *TiledArray) symPairAt(d int) int {
-	for i, p := range a.SymPairs {
-		if p[0] == d {
-			return i
+// tileCoords writes the canonical coordinates of tile id into coords,
+// inverting canonicalID.
+func (a *TiledArray) tileCoords(id int, coords []int) {
+	for d := 0; d < len(a.dims); d++ {
+		c := id / a.dims[d].stride
+		id -= c * a.dims[d].stride
+		if a.dims[d].pair {
+			coords[d], coords[d+1] = sym.UnpairIndex(c)
+			d++ // skip absorbed dim
+			continue
 		}
+		coords[d] = c
 	}
-	return -1
 }
 
 // canonicalID maps canonical tile coordinates to the linear tile id.
 // Coordinates of symmetric pairs must already satisfy t[d] >= t[d+1].
 func (a *TiledArray) canonicalID(coords []int) int {
-	if len(coords) != len(a.Grids) {
-		panic(fmt.Sprintf("ga: tensor %q expects %d tile coords, got %d", a.Name, len(a.Grids), len(coords)))
+	if len(coords) != len(a.dims) {
+		panic(fmt.Sprintf("ga: tensor %q expects %d tile coords, got %d", a.Name, len(a.dims), len(coords)))
 	}
 	id := 0
 	for d := 0; d < len(coords); d++ {
-		t := coords[d]
-		if t < 0 || t >= a.Grids[d].NumTiles() {
+		t, g := coords[d], a.dims[d]
+		if t < 0 || t >= g.tiles {
 			panic(fmt.Sprintf("ga: tensor %q tile coord %d out of range [0,%d) in dim %d",
-				a.Name, t, a.Grids[d].NumTiles(), d))
+				a.Name, t, g.tiles, d))
 		}
-		if a.symPairAt(d) >= 0 {
+		if g.pair {
 			tj := coords[d+1]
-			if tj > t {
+			if tj < 0 || tj > t {
 				panic(fmt.Sprintf("ga: tensor %q non-canonical symmetric tile (%d,%d) in dims (%d,%d)",
 					a.Name, t, tj, d, d+1))
 			}
-			id += sym.PairIndex(t, tj) * a.strides[d]
+			id += sym.PairIndex(t, tj) * g.stride
 			d++ // skip absorbed dim
 			continue
 		}
-		id += t * a.strides[d]
+		id += t * g.stride
 	}
 	return id
+}
+
+// width returns the width of tile t in dimension d.
+func (a *TiledArray) width(d, t int) int {
+	if t < 0 || t >= a.dims[d].tiles {
+		panic(fmt.Sprintf("ga: tensor %q tile coord %d out of range [0,%d) in dim %d",
+			a.Name, t, a.dims[d].tiles, d))
+	}
+	g := a.Grids[d]
+	return min(g.T, g.N-t*g.T)
 }
 
 // TileWords returns the element count of the tile at the given canonical
@@ -230,16 +232,39 @@ func (a *TiledArray) canonicalID(coords []int) int {
 func (a *TiledArray) TileWords(coords []int) int {
 	w := 1
 	for d, t := range coords {
-		w *= a.Grids[d].Width(t)
+		w *= a.width(d, t)
 	}
 	return w
+}
+
+// denseWords is the element count of every canonical tile together, in
+// closed form: a plain dimension contributes its extent N, and a
+// symmetric pair the block-lower-triangle sum over ti >= tj of
+// w(ti)*w(tj) = (N² + Σw²)/2.
+func (a *TiledArray) denseWords() int64 {
+	words := int64(1)
+	for d := 0; d < len(a.dims); d++ {
+		n := int64(a.Grids[d].N)
+		if !a.dims[d].pair {
+			words *= n
+			continue
+		}
+		var sq int64
+		for t := 0; t < a.dims[d].tiles; t++ {
+			w := int64(a.width(d, t))
+			sq += w * w
+		}
+		words *= (n*n + sq) / 2
+		d++ // skip absorbed dim
+	}
+	return words
 }
 
 // TileShape returns the per-dimension widths of a tile.
 func (a *TiledArray) TileShape(coords []int) []int {
 	shape := make([]int, len(coords))
 	for d, t := range coords {
-		shape[d] = a.Grids[d].Width(t)
+		shape[d] = a.width(d, t)
 	}
 	return shape
 }
@@ -291,7 +316,21 @@ func (a *TiledArray) checkAlive(op string) {
 // ForEachTile visits every canonical tile coordinate tuple in a fixed
 // deterministic order. The coords slice is reused between calls; copy it
 // if retained.
-func (a *TiledArray) ForEachTile(f func(coords []int)) { a.forEachCanonical(f) }
+func (a *TiledArray) ForEachTile(f func(coords []int)) {
+	a.forEachCanonical(func(_ int, coords []int) { f(coords) })
+}
+
+// ForEachOwnedTile visits the canonical tiles process p owns, in
+// ForEachTile order, at a cost proportional to the tiles p owns rather
+// than to the whole tensor. The coords slice is reused between calls;
+// copy it if retained.
+func (a *TiledArray) ForEachOwnedTile(p int, f func(coords []int)) {
+	coords := make([]int, len(a.Grids))
+	a.Dist.ForEachOwned(p, func(id int) {
+		a.tileCoords(id, coords)
+		f(coords)
+	})
+}
 
 // Freeze marks the tensor read-only. It must be called from sequential
 // (between-region) code after the last Parallel region that writes the
@@ -343,8 +382,7 @@ func (a *TiledArray) SnapshotTiles() []float64 {
 	}
 	a.checkAlive("SnapshotTiles")
 	out := make([]float64, 0, a.bytes/8)
-	a.forEachCanonical(func(coords []int) {
-		id := a.canonicalID(coords)
+	a.forEachCanonical(func(id int, coords []int) {
 		if a.stored != nil && !a.stored[id] {
 			return
 		}
@@ -369,8 +407,7 @@ func (a *TiledArray) RestoreTiles(data []float64) {
 		panic(fmt.Sprintf("ga: RestoreTiles on frozen tensor %q", a.Name))
 	}
 	off := 0
-	a.forEachCanonical(func(coords []int) {
-		id := a.canonicalID(coords)
+	a.forEachCanonical(func(id int, coords []int) {
 		if a.stored != nil && !a.stored[id] {
 			return
 		}

@@ -2,6 +2,8 @@ package ga
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"fourindex/internal/sym"
@@ -71,6 +73,9 @@ func TestCreateTiledValidation(t *testing.T) {
 	gs := []tile.Grid{tile.NewGrid(4, 2), tile.NewGrid(4, 3)}
 	if _, err := rt.CreateTiled("x", gs, [][2]int{{0, 1}}, tile.RoundRobin); err == nil {
 		t.Error("mismatched pair grids should error")
+	}
+	if _, err := rt.CreateTiled("x", grids(4, 2, 3), [][2]int{{0, 1}, {1, 2}}, tile.RoundRobin); err == nil {
+		t.Error("overlapping pairs should error")
 	}
 }
 
@@ -252,5 +257,141 @@ func TestTiledOwnerStable(t *testing.T) {
 				t.Fatal("owner not deterministic")
 			}
 		}
+	}
+}
+
+// tiledShape is one tensor geometry of the iteration tests: per-dim
+// grids (ragged where N is not a multiple of T) and symmetric pairs.
+type tiledShape struct {
+	grids []tile.Grid
+	pairs [][2]int
+}
+
+// tiledShapes covers 1-4 dims with 0, 1 and 2 symmetric pairs, ragged
+// and exact grids, and an empty dimension.
+func tiledShapes() []tiledShape {
+	g := tile.NewGrid
+	return []tiledShape{
+		{grids: []tile.Grid{g(7, 3)}},
+		{grids: []tile.Grid{g(0, 3)}},
+		{grids: []tile.Grid{g(7, 3), g(4, 4)}},
+		{grids: []tile.Grid{g(7, 3), g(7, 3)}, pairs: [][2]int{{0, 1}}},
+		{grids: []tile.Grid{g(5, 2), g(6, 2), g(6, 2)}, pairs: [][2]int{{1, 2}}},
+		{grids: []tile.Grid{g(9, 2), g(9, 2), g(3, 3)}, pairs: [][2]int{{0, 1}}},
+		{grids: []tile.Grid{g(5, 2), g(6, 4), g(3, 1), g(7, 3)}},
+		{grids: []tile.Grid{g(7, 3), g(7, 3), g(5, 2), g(4, 3)}, pairs: [][2]int{{0, 1}}},
+		{grids: []tile.Grid{g(5, 3), g(7, 2), g(7, 2), g(4, 4)}, pairs: [][2]int{{1, 2}}},
+		{grids: []tile.Grid{g(6, 4), g(6, 4), g(7, 3), g(7, 3)}, pairs: [][2]int{{0, 1}, {2, 3}}},
+		{grids: []tile.Grid{g(8, 2), g(8, 2), g(5, 5), g(5, 5)}, pairs: [][2]int{{0, 1}, {2, 3}}},
+		{grids: []tile.Grid{g(0, 2), g(0, 2), g(5, 2), g(5, 2)}, pairs: [][2]int{{0, 1}, {2, 3}}},
+	}
+}
+
+// canonicalTiles lists a tensor's canonical tiles in ForEachTile order.
+func canonicalTiles(a *TiledArray) [][]int {
+	var out [][]int
+	a.ForEachTile(func(c []int) { out = append(out, slices.Clone(c)) })
+	return out
+}
+
+// ForEachTile visits every canonical tile once, in increasing
+// canonical id order, and the id is the visit index.
+func TestForEachTileOrder(t *testing.T) {
+	rt, _ := NewRuntime(Config{Procs: 3, Mode: Cost})
+	for _, sh := range tiledShapes() {
+		a, err := rt.CreateTiled("T", sh.grids, sh.pairs, tile.RoundRobin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		for d := 0; d < len(sh.grids); d++ {
+			if slices.Contains(sh.pairs, [2]int{d, d + 1}) {
+				want *= sym.Pairs(sh.grids[d].NumTiles())
+				d++
+				continue
+			}
+			want *= sh.grids[d].NumTiles()
+		}
+		tiles := canonicalTiles(a)
+		if len(tiles) != want || a.NumTiles() != want {
+			t.Errorf("%v %v: %d tiles visited, NumTiles %d, want %d", sh.grids, sh.pairs, len(tiles), a.NumTiles(), want)
+		}
+		for i, c := range tiles {
+			if id := a.canonicalID(c); id != i {
+				t.Errorf("%v %v: tile %v has id %d at visit %d", sh.grids, sh.pairs, c, id, i)
+			}
+			if i > 0 && slices.Compare(tiles[i-1], c) >= 0 {
+				t.Errorf("%v %v: %v visited after %v", sh.grids, sh.pairs, c, tiles[i-1])
+			}
+		}
+		rt.DestroyTiled(a)
+	}
+}
+
+// ForEachOwnedTile partitions ForEachTile: each process's visits are
+// ForEachTile filtered by Owner, in the same order, and together they
+// cover every tile exactly once. Covers every policy, one process and
+// more processes than tiles.
+func TestForEachOwnedTilePartition(t *testing.T) {
+	type policy struct {
+		pol   tile.Policy
+		block int
+	}
+	policies := []policy{{tile.RoundRobin, 1}, {tile.Block, 1}, {tile.BlockCyclic, 1}, {tile.BlockCyclic, 3}}
+	for _, procs := range []int{1, 3, 4, 100} {
+		rt, _ := NewRuntime(Config{Procs: procs, Mode: Cost})
+		for _, sh := range tiledShapes() {
+			for _, pc := range policies {
+				a, err := rt.CreateTiled("T", sh.grids, sh.pairs, pc.pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Dist = tile.NewDist(a.NumTiles(), procs, pc.pol, pc.block)
+				name := fmt.Sprintf("%v %v %v/block %d on %d procs", sh.grids, sh.pairs, pc.pol, pc.block, procs)
+				all := canonicalTiles(a)
+				seen := map[string]int{}
+				for p := 0; p < procs; p++ {
+					var want, got [][]int
+					for _, c := range all {
+						if a.Owner(c...) == p {
+							want = append(want, c)
+						}
+					}
+					a.ForEachOwnedTile(p, func(c []int) {
+						got = append(got, slices.Clone(c))
+						seen[fmt.Sprint(c)]++
+					})
+					if !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+						t.Errorf("%s: process %d visits %v, want %v", name, p, got, want)
+					}
+				}
+				if len(seen) != len(all) {
+					t.Errorf("%s: processes visit %d distinct tiles, want %d", name, len(seen), len(all))
+				}
+				for c, k := range seen {
+					if k != 1 {
+						t.Errorf("%s: tile %s visited %d times", name, c, k)
+					}
+				}
+				rt.DestroyTiled(a)
+			}
+		}
+	}
+}
+
+// A dense tensor's closed-form Bytes equals the sum of its tile sizes.
+func TestTiledDenseBytesClosedForm(t *testing.T) {
+	rt, _ := NewRuntime(Config{Procs: 2, Mode: Cost})
+	for _, sh := range tiledShapes() {
+		a, err := rt.CreateTiled("T", sh.grids, sh.pairs, tile.RoundRobin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var words int64
+		a.ForEachTile(func(c []int) { words += int64(a.TileWords(c)) })
+		if a.Bytes() != 8*words {
+			t.Errorf("%v %v: Bytes = %d, want %d", sh.grids, sh.pairs, a.Bytes(), 8*words)
+		}
+		rt.DestroyTiled(a)
 	}
 }

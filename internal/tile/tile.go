@@ -135,6 +135,34 @@ func (d Dist) Owner(t int) int {
 	}
 }
 
+// ForEachOwned calls f with every tile id process p owns, in increasing
+// order. It costs O(tiles owned by p), not O(NumTiles): each policy's
+// owned set is stepped through directly rather than filtered by Owner.
+func (d Dist) ForEachOwned(p int, f func(t int)) {
+	if p < 0 || p >= d.Procs {
+		panic(fmt.Sprintf("tile: process %d out of range [0,%d)", p, d.Procs))
+	}
+	switch d.Pol {
+	case RoundRobin:
+		for t := p; t < d.NumTiles; t += d.Procs {
+			f(t)
+		}
+	case Block:
+		per := (d.NumTiles + d.Procs - 1) / d.Procs
+		for t := p * per; t < min((p+1)*per, d.NumTiles); t++ {
+			f(t)
+		}
+	case BlockCyclic:
+		for lo := p * d.BlockSize; lo < d.NumTiles; lo += d.Procs * d.BlockSize {
+			for t := lo; t < min(lo+d.BlockSize, d.NumTiles); t++ {
+				f(t)
+			}
+		}
+	default:
+		panic(fmt.Sprintf("tile: unknown policy %v", d.Pol))
+	}
+}
+
 // Counts returns how many tiles each process owns.
 func (d Dist) Counts() []int {
 	c := make([]int, d.Procs)

@@ -2,6 +2,7 @@ package tile
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +149,8 @@ func TestDistPanics(t *testing.T) {
 		"zero procs":     func() { NewDist(4, 0, RoundRobin, 0) },
 		"negative tiles": func() { NewDist(-1, 2, RoundRobin, 0) },
 		"owner range":    func() { NewDist(4, 2, RoundRobin, 0).Owner(4) },
+		"owned proc":     func() { NewDist(4, 2, RoundRobin, 0).ForEachOwned(2, func(int) {}) },
+		"owned negative": func() { NewDist(4, 2, RoundRobin, 0).ForEachOwned(-1, func(int) {}) },
 	} {
 		func() {
 			defer func() {
@@ -188,5 +191,36 @@ func TestQuickOwnersInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ForEachOwned visits exactly the tiles Owner assigns to p, in
+// increasing order, for every policy, including one process, more
+// processes than tiles and no tiles at all.
+func TestDistForEachOwned(t *testing.T) {
+	type policy struct {
+		pol   Policy
+		block int
+	}
+	policies := []policy{{RoundRobin, 1}, {Block, 1}, {BlockCyclic, 1}, {BlockCyclic, 3}}
+	for _, pc := range policies {
+		for _, procs := range []int{1, 2, 3, 5, 40} {
+			for _, nt := range []int{0, 1, 2, 7, 12, 30, 37} {
+				d := NewDist(nt, procs, pc.pol, pc.block)
+				for p := 0; p < procs; p++ {
+					var want, got []int
+					for id := 0; id < nt; id++ {
+						if d.Owner(id) == p {
+							want = append(want, id)
+						}
+					}
+					d.ForEachOwned(p, func(id int) { got = append(got, id) })
+					if !slices.Equal(got, want) {
+						t.Errorf("%v/block %d, %d tiles on %d procs: ForEachOwned(%d) = %v, want %v",
+							pc.pol, pc.block, nt, procs, p, got, want)
+					}
+				}
+			}
+		}
 	}
 }
